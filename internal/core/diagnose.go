@@ -302,8 +302,11 @@ func (s *System) InjectSigNoise(core, thread, n int, salt uint64) int {
 		ctx.Sig.Insert(sig.Write, a)
 		inserted++
 	}
-	if s.Shadow != nil && inserted > 0 {
-		s.Shadow.DivergeAll("signature noise injected")
+	if inserted > 0 {
+		s.epoch++
+		if s.Shadow != nil {
+			s.Shadow.DivergeAll("signature noise injected")
+		}
 	}
 	return inserted
 }

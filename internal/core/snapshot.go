@@ -497,6 +497,7 @@ func (s *System) RestoreState(st *SystemState, barriers []*Barrier) error {
 		s.recountTx(c)
 	}
 	s.probeValid = false
+	s.epoch++ // memos describe the pre-restore machine
 	s.readied = nil
 	return nil
 }

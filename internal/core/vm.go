@@ -50,7 +50,7 @@ func (s *System) SpawnStepped(name string, asid addr.ASID, pt *mem.PageTable) *T
 		rngSeed: s.P.Seed*1_000_003 + int64(len(s.threads)),
 		stepped: true,
 	}
-	s.threads = append(s.threads, t)
+	s.addThread(t)
 	return t
 }
 

@@ -275,6 +275,9 @@ func (i *Injector) victimStorm() {
 		if !ok {
 			break
 		}
+		if n == 0 {
+			i.sys.ConflictStateChanged()
+		}
 		i.stats.Injected[ClassVictim]++
 		i.emit(ClassVictim, a, uint64(c))
 	}

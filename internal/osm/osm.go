@@ -328,6 +328,7 @@ func (s *Scheduler) RelocatePage(p *Process, va addr.VAddr) error {
 	if err != nil {
 		return err
 	}
+	s.sys.ConflictStateChanged()
 	s.sys.Mem.CopyPage(oldBase, newBase)
 	s.stats.PageRelocations++
 	if s.sys.Check != nil {

@@ -165,6 +165,9 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(int64(1), uint16(5_000), uint8(0))
 	f.Add(int64(7), uint16(12_000), uint8(2))
 	f.Add(int64(42), uint16(800), uint8(5))
+	// Raytrace at cycle 4000 is mid-stall: several threads hold a valid
+	// retry memo, which the capture omits and the restore invalidates.
+	f.Add(int64(3), uint16(4_000), uint8(5))
 	f.Fuzz(func(t *testing.T, seed int64, cut uint16, which uint8) {
 		name := names[int(which)%len(names)]
 		p := testParams(seed)
