@@ -138,9 +138,18 @@ func run(w, errw io.Writer, base, neu string, maxRegress, maxGeomean float64) in
 				sh.NsOp/plain.NsOp, plain.NsOp/sh.NsOp)
 		}
 	}
-	// The zero-alloc gate: the event-engine hot path must not allocate.
+	// Retry-memo summary: a quiet NACK retry answered from the memo
+	// versus the same retry walking the protocol.
+	if walk, ok := newBy["NACKRetry/walk"]; ok && walk.NsOp > 0 {
+		if memo, ok := newBy["NACKRetry/memo"]; ok && memo.NsOp > 0 {
+			fmt.Fprintf(w, "NACKRetry memo/walk: %.3f (%.2fx per quiet retry)\n",
+				memo.NsOp/walk.NsOp, walk.NsOp/memo.NsOp)
+		}
+	}
+	// The zero-alloc gate: the event-engine hot path and the NACK retry
+	// (walked or replayed) must not allocate.
 	for _, c := range n.Benchmarks {
-		if strings.HasPrefix(c.Name, "EngineSchedule") && c.AllocsOp != 0 {
+		if (strings.HasPrefix(c.Name, "EngineSchedule") || strings.HasPrefix(c.Name, "NACKRetry/")) && c.AllocsOp != 0 {
 			fmt.Fprintf(w, "ALLOC GATE: %s allocates %.1f/op, want 0\n", c.Name, c.AllocsOp)
 			failed = true
 		}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -130,5 +131,37 @@ func TestBadInputs(t *testing.T) {
 	}
 	if code := run(&out, &errOut, filepath.Join("testdata", "base.json"), bad, 0.1, math.Inf(1)); code != 2 {
 		t.Errorf("corrupt candidate: exit %d, want 2", code)
+	}
+}
+
+// TestNACKRetrySummary: the retry-layer microbenchmark pair gets a
+// memo/walk ratio line, and either row allocating fails the gate.
+func TestNACKRetrySummary(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	base := write("base.json", `{"benchmarks": []}`)
+	for _, c := range []struct {
+		memoAllocs int
+		wantCode   int
+	}{{0, 0}, {1, 1}} {
+		neu := write("new.json", fmt.Sprintf(`{"benchmarks": [
+			{"name": "NACKRetry/walk", "ns_op": 160, "allocs_op": 0},
+			{"name": "NACKRetry/memo", "ns_op": 40, "allocs_op": %d}]}`, c.memoAllocs))
+		var out, errOut bytes.Buffer
+		if code := run(&out, &errOut, base, neu, 0.10, math.Inf(1)); code != c.wantCode {
+			t.Errorf("memo allocs %d: exit code %d, want %d\n%s%s", c.memoAllocs, code, c.wantCode, out.Bytes(), errOut.Bytes())
+		}
+		if !strings.Contains(out.String(), "NACKRetry memo/walk: 0.250 (4.00x per quiet retry)") {
+			t.Errorf("missing memo/walk summary:\n%s", out.Bytes())
+		}
+		if gate := strings.Contains(out.String(), "ALLOC GATE: NACKRetry/memo"); gate != (c.memoAllocs > 0) {
+			t.Errorf("memo allocs %d: alloc gate fired = %v", c.memoAllocs, gate)
+		}
 	}
 }

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Benchmark tracker: runs the guarded benchmark cells (the Figure-4
-# benchmark x variant grid plus the engine and signature
+# benchmark x variant grid plus the engine, signature and NACK-retry
 # microbenchmarks) with -benchmem and writes a machine-readable JSON
 # snapshot, so the performance trajectory is tracked revision over
 # revision.
@@ -60,6 +60,10 @@ go test -run xxx -bench 'BenchmarkSignatureOps' \
 # InsertBlocks) per filter kind, in internal/sig.
 go test -run xxx -bench 'BenchmarkInsert|BenchmarkMayContain' \
     -benchtime 10000x -benchmem ./internal/sig >>"$tmp"
+# NACK retry layer: one retry against a blocked block, walking the
+# protocol vs answered from the retry memo (ns/retry).
+go test -run xxx -bench 'BenchmarkNACKRetry' \
+    -benchtime 10000x -benchmem ./internal/core >>"$tmp"
 go test -run xxx -bench 'BenchmarkEngine|BenchmarkMemory' \
     -benchtime 10000x -benchmem ./internal/sim ./internal/mem \
     >>"$tmp" 2>/dev/null || true

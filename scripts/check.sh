@@ -15,6 +15,11 @@ fi
 go vet ./...
 go test -race ./...
 
+# Retry-aware execution cross-check: under the retryverify build tag every
+# retry answered from a memo also walks the protocol and panics if the
+# walk disagrees with the memo.
+go test -tags retryverify . ./internal/core
+
 # Coverage gate: total statement coverage must stay within one point of
 # the committed baseline (scripts/coverage_baseline.txt). Raise the
 # baseline when coverage genuinely improves; never lower it to pass.
