@@ -20,6 +20,7 @@ import (
 	"logtmse/internal/osm"
 	"logtmse/internal/sig"
 	"logtmse/internal/sim"
+	"logtmse/internal/workload"
 )
 
 var updateGoldens = flag.Bool("update", false, "rewrite testdata/runresult_goldens.txt")
@@ -35,9 +36,9 @@ type goldenRun struct {
 
 // runResultGoldenCells lists every pinned cell: the full Figure-4 grid
 // (5 workloads x 6 variants) at two seeds, the alternative machine
-// shapes (snoop, 2-chip, cache bits, contention model), one checked cell
-// per harness fault mix, and one OS-scheduled cell with deschedule and
-// page-relocation faults.
+// shapes (snoop, 2-chip, cache bits, contention model), the Table-3
+// signature sweep, one checked cell per harness fault mix, and one
+// OS-scheduled cell with deschedule and page-relocation faults.
 func runResultGoldenCells() []goldenRun {
 	const scale = 0.02
 	var cells []goldenRun
@@ -59,6 +60,28 @@ func runResultGoldenCells() []goldenRun {
 			for _, seed := range []int64{1, 2} {
 				one(fmt.Sprintf("fig4/%s/%s/seed%d", w.Name, v.Name, seed), w.Name, v.Name, seed, nil)
 			}
+		}
+	}
+	// The Table-3 signature sweep at cmd/table3's default seed. Its
+	// 64-bit CBS and DBS cells are not in the Figure-4 grid.
+	type table3Sig struct {
+		label string
+		sc    sig.Config
+	}
+	table3Sigs := []table3Sig{{"Perfect", sig.Config{Kind: sig.KindPerfect}}}
+	for _, bits := range []int{2048, 64} {
+		table3Sigs = append(table3Sigs,
+			table3Sig{fmt.Sprintf("BS_%d", bits), sig.Config{Kind: sig.KindBitSelect, Bits: bits}},
+			table3Sig{fmt.Sprintf("CBS_%d", bits), sig.Config{Kind: sig.KindCoarseBitSelect, Bits: bits}},
+			table3Sig{fmt.Sprintf("DBS_%d", bits), sig.Config{Kind: sig.KindDoubleBitSelect, Bits: bits}})
+	}
+	for _, wname := range []string{"Raytrace", "BerkeleyDB"} {
+		for _, s := range table3Sigs {
+			wname, s := wname, s
+			cells = append(cells, goldenRun{"table3/" + wname + "/" + s.label + "/seed1", func() (any, error) {
+				v := Variant{Name: s.label, Mode: workload.TM, Sig: s.sc}
+				return RunOne(RunConfig{Workload: wname, Variant: v, Scale: scale}, 1)
+			}})
 		}
 	}
 	shape := func(name, wname, vname string, edit func(*Params)) {
@@ -194,7 +217,8 @@ func readGoldens(t *testing.T) map[string]string {
 // TestRunResultGoldens pins the complete outcome — every Stats and
 // coherence counter, cycles, work units and fault counts — of the whole
 // Figure-4 grid at two seeds plus every alternative machine shape, the
-// checked fault mixes and an OS-scheduled cell, as a SHA-256 of the
+// Table-3 signature sweep, the checked fault mixes and an OS-scheduled
+// cell, as a SHA-256 of the
 // result's canonical JSON. Any change to simulated behavior anywhere in
 // these cells shows up here; a pure performance change must leave every
 // hash alone. Regenerate (only for a deliberate, documented re-pin) with
