@@ -61,21 +61,20 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		localWorkers = fs.Int("local-workers", 0, "spawn this many in-process workers against the coordinator's own address")
 		linger       = fs.Duration("linger", 3*time.Second, "after the campaign completes, keep serving 'done' this long so remote workers exit cleanly")
 		giveUp       = fs.Duration("give-up", 2*time.Minute, "worker mode: exit once the coordinator has been unreachable this long (0 = retry forever)")
-		leaseBatch   = fs.Int("lease-batch", 0, "cells granted per lease round trip (0 = one; campaign cells are row-ordered, so variants*seeds co-locates a full Figure 4 row on one worker)")
-		sharePrefix  = fs.Bool("share-prefix", false, "workers execute each leased batch through the prefix-shared runner (implies batching; results are byte-identical either way)")
+		leaseBatch   = fs.Int("lease-batch", 0, "cells granted per lease round trip (0 = one); a batch runs cell by cell, it only saves polls over slow links")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if *workerURL != "" {
-		return runWorker(ctx, *workerURL, *jobs, *cacheDir, *giveUp, *leaseBatch, *sharePrefix, stderr)
+		return runWorker(ctx, *workerURL, *jobs, *cacheDir, *giveUp, *leaseBatch, stderr)
 	}
 	return runCoordinator(ctx, coordinatorConfig{
 		addr: *addr, names: *names, scale: *scale, seeds: *seeds, threads: *threads,
 		journal: *journal, fsync: *fsync, useCache: *useCache, cacheDir: *cacheDir,
 		leaseTTL: *leaseTTL, maxAttempts: *maxAttempts, idleInline: *idleInline,
 		localWorkers: *localWorkers, linger: *linger,
-		leaseBatch: *leaseBatch, sharePrefix: *sharePrefix,
+		leaseBatch: *leaseBatch,
 	}, stdout, stderr)
 }
 
@@ -92,7 +91,6 @@ type coordinatorConfig struct {
 	localWorkers    int
 	linger          time.Duration
 	leaseBatch      int
-	sharePrefix     bool
 }
 
 func runCoordinator(ctx context.Context, cfg coordinatorConfig, stdout, stderr io.Writer) int {
@@ -157,19 +155,8 @@ func runCoordinator(ctx context.Context, cfg coordinatorConfig, stdout, stderr i
 	// bind it (harmless by idempotency, but a leak and a confusing race).
 	wctx, stopWorkers := context.WithCancel(ctx)
 	defer stopWorkers()
-	batch := cfg.leaseBatch
-	if cfg.sharePrefix && batch < 2 {
-		// One full row per grant: that is what lets a batch contain
-		// every group-mate of each seed's variant group.
-		batch = len(logtmse.Figure4Variants()) * len(seedList)
-	}
-	var execBatch func(context.Context, []fabric.Cell) ([][]byte, error)
-	if cfg.sharePrefix {
-		execBatch = logtmse.ExecuteCellsShared(cache)
-	}
 	for i := 0; i < cfg.localWorkers; i++ {
-		w := &fabric.Worker{Base: base, ID: fmt.Sprintf("local-%d", i), Exec: exec,
-			Batch: batch, ExecBatch: execBatch}
+		w := &fabric.Worker{Base: base, ID: fmt.Sprintf("local-%d", i), Exec: exec, Batch: cfg.leaseBatch}
 		go w.Run(wctx)
 	}
 
@@ -195,9 +182,6 @@ func runCoordinator(ctx context.Context, cfg coordinatorConfig, stdout, stderr i
 		"sweepd: %d cells done in %.1fs: %d resumed from journal, %d from cache, %d leases, %d duplicates dropped, %d expiries, %d inline\n",
 		p.CellsDone, p.ElapsedSec, p.Resumed, p.CacheHits,
 		p.LeasesGranted, p.DuplicateResults, p.ExpiredLeases, p.InlineRuns)
-	if cfg.sharePrefix {
-		fmt.Fprintln(stderr, logtmse.PrefixSummary())
-	}
 	if cache != nil {
 		fmt.Fprintln(stderr, logtmse.CacheSummary(cache))
 	}
@@ -215,7 +199,7 @@ func runCoordinator(ctx context.Context, cfg coordinatorConfig, stdout, stderr i
 	return 0
 }
 
-func runWorker(ctx context.Context, base string, jobs int, cacheDir string, giveUp time.Duration, leaseBatch int, sharePrefix bool, stderr io.Writer) int {
+func runWorker(ctx context.Context, base string, jobs int, cacheDir string, giveUp time.Duration, leaseBatch int, stderr io.Writer) int {
 	if jobs < 1 {
 		jobs = 1
 	}
@@ -226,16 +210,6 @@ func runWorker(ctx context.Context, base string, jobs int, cacheDir string, give
 	cache := logtmse.NewResultCache(cacheDir, 0)
 	cache.Remote, cache.RemoteStore = fabric.RemoteCacheFuncs(base, nil)
 	exec := logtmse.ExecuteCell(cache)
-	var execBatch func(context.Context, []fabric.Cell) ([][]byte, error)
-	if sharePrefix {
-		execBatch = logtmse.ExecuteCellsShared(cache)
-		if leaseBatch < 2 {
-			// The worker cannot see the coordinator's -seeds, so default
-			// to one row at the default 3 seeds; pass -lease-batch
-			// variants*seeds to match a differently sized campaign.
-			leaseBatch = len(logtmse.Figure4Variants()) * 3
-		}
-	}
 	logf := func(format string, args ...interface{}) {
 		fmt.Fprintf(stderr, format+"\n", args...)
 	}
@@ -248,7 +222,6 @@ func runWorker(ctx context.Context, base string, jobs int, cacheDir string, give
 			ID:          fmt.Sprintf("%s-%d-%d", host, os.Getpid(), i),
 			Exec:        exec,
 			Batch:       leaseBatch,
-			ExecBatch:   execBatch,
 			GiveUpAfter: giveUp,
 			Logf:        logf,
 		}
@@ -259,9 +232,6 @@ func runWorker(ctx context.Context, base string, jobs int, cacheDir string, give
 		}(i)
 	}
 	wg.Wait()
-	if sharePrefix {
-		fmt.Fprintln(stderr, logtmse.PrefixSummary())
-	}
 	for _, err := range errs {
 		if err != nil {
 			fmt.Fprintf(stderr, "sweepd: worker: %v\n", err)

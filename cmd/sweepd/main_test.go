@@ -57,10 +57,10 @@ func TestSweepdCampaignAndJournalResume(t *testing.T) {
 	}
 }
 
-// TestSweepdReportMatchesFigure4 pins the tool-level byte-identity
-// claim: sweepd's stdout for a campaign equals the figure4 command's
-// stdout for the same parameters.
-func TestSweepdReportMatchesFigure4(t *testing.T) {
+// figure4Report builds the figure4 command and returns its stdout for
+// the parameters campaignArgs describes.
+func figure4Report(t *testing.T) []byte {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("builds and runs the figure4 binary")
 	}
@@ -73,7 +73,14 @@ func TestSweepdReportMatchesFigure4(t *testing.T) {
 	if err != nil {
 		t.Fatalf("figure4: %v", err)
 	}
+	return ref
+}
 
+// TestSweepdReportMatchesFigure4 pins the tool-level byte-identity
+// claim: sweepd's stdout for a campaign equals the figure4 command's
+// stdout for the same parameters.
+func TestSweepdReportMatchesFigure4(t *testing.T) {
+	ref := figure4Report(t)
 	var out, log bytes.Buffer
 	if code := run(context.Background(), campaignArgs("", 3), &out, &log); code != 0 {
 		t.Fatalf("sweepd exited %d\n%s", code, log.String())
@@ -84,26 +91,20 @@ func TestSweepdReportMatchesFigure4(t *testing.T) {
 	}
 }
 
-// TestSweepdSharePrefixReportIdentical pins the fabric half of the
-// prefix-sharing claim: a campaign whose local workers execute batched
-// cells through the prefix-shared runner prints a byte-identical report
-// to a plain per-cell campaign, and the sharing actually engaged.
-func TestSweepdSharePrefixReportIdentical(t *testing.T) {
-	var plain, plainLog bytes.Buffer
-	if code := run(context.Background(), campaignArgs("", 2), &plain, &plainLog); code != 0 {
-		t.Fatalf("plain run exited %d\n%s", code, plainLog.String())
+// TestSweepdLeaseBatchReportMatchesFigure4 is the same check with
+// multi-cell lease grants: workers that take 12 cells per round trip,
+// with inline execution held off so they compute every cell, still
+// print figure4's report byte for byte.
+func TestSweepdLeaseBatchReportMatchesFigure4(t *testing.T) {
+	ref := figure4Report(t)
+	var out, log bytes.Buffer
+	args := append(campaignArgs("", 2), "-lease-batch", "12", "-idle-inline", "1h")
+	if code := run(context.Background(), args, &out, &log); code != 0 {
+		t.Fatalf("sweepd exited %d\n%s", code, log.String())
 	}
-	var shared, sharedLog bytes.Buffer
-	args := append(campaignArgs("", 2), "-share-prefix", "-idle-inline", "1h")
-	if code := run(context.Background(), args, &shared, &sharedLog); code != 0 {
-		t.Fatalf("share-prefix run exited %d\n%s", code, sharedLog.String())
-	}
-	if !bytes.Equal(plain.Bytes(), shared.Bytes()) {
-		t.Fatalf("share-prefix report differs from plain:\n--- plain\n%s--- shared\n%s",
-			plain.String(), shared.String())
-	}
-	if !strings.Contains(sharedLog.String(), "share-prefix:") {
-		t.Fatalf("share-prefix run printed no sharing summary:\n%s", sharedLog.String())
+	if !bytes.Equal(ref, out.Bytes()) {
+		t.Fatalf("batched sweepd report differs from figure4:\n--- figure4\n%s--- sweepd\n%s",
+			ref, out.String())
 	}
 }
 
@@ -162,7 +163,7 @@ func TestSweepdWorkerMode(t *testing.T) {
 	}
 
 	var wlog bytes.Buffer
-	if code := runWorker(ctx, base, 2, "", 30*time.Second, 0, false, &wlog); code != 0 {
+	if code := runWorker(ctx, base, 2, "", 30*time.Second, 0, &wlog); code != 0 {
 		t.Fatalf("worker exited %d\n%s\ncoordinator log:\n%s", code, wlog.String(), log.String())
 	}
 	if code := <-codeCh; code != 0 {

@@ -111,50 +111,6 @@ func ExecuteCell(cache *ResultCache) func(ctx context.Context, c fabric.Cell) ([
 	}
 }
 
-// ExecuteCellsShared returns the fabric batch executor for
-// Worker.ExecBatch: decode and skew-guard every cell exactly as
-// ExecuteCell does, then run the batch through RunCellsShared, so cells
-// of one variant group that the coordinator co-located in this grant
-// simulate their common prefix once. Results are byte-identical to
-// per-cell execution; a skew or decode failure on any cell fails the
-// batch (the coordinator re-issues and eventually quarantines them
-// individually).
-func ExecuteCellsShared(cache *ResultCache) func(ctx context.Context, cells []fabric.Cell) ([][]byte, error) {
-	return func(ctx context.Context, cells []fabric.Cell) ([][]byte, error) {
-		sweepCells := make([]SweepCell, len(cells))
-		for i, c := range cells {
-			var spec CellSpec
-			if err := json.Unmarshal(c.Spec, &spec); err != nil {
-				return nil, fmt.Errorf("logtmse: undecodable cell spec: %w", err)
-			}
-			rc, err := spec.runConfig()
-			if err != nil {
-				return nil, err
-			}
-			key, err := Fingerprint(rc, spec.Seed)
-			if err != nil {
-				return nil, err
-			}
-			if key != c.Key {
-				return nil, fmt.Errorf("logtmse: version skew: this binary derives fingerprint %.12s for cell %.12s — refusing to compute a stale result", key, c.Key)
-			}
-			rc.Cache = cache
-			sweepCells[i] = SweepCell{RC: rc, Seed: spec.Seed}
-		}
-		results, err := RunCellsShared(ctx, sweepCells, 0)
-		if err != nil {
-			return nil, err
-		}
-		payloads := make([][]byte, len(results))
-		for i, r := range results {
-			if payloads[i], err = encodeResult(r); err != nil {
-				return nil, err
-			}
-		}
-		return payloads, nil
-	}
-}
-
 // Figure4RowsFromPayloads reassembles the fabric campaign's payloads
 // (in Figure4Cells index order) into the same rows a local
 // Figure4Observed run produces.

@@ -115,9 +115,9 @@ type RunConfig struct {
 	// Sabotage, when active, arms a deliberate engine bug (see
 	// core.Sabotage) — the validation target the oracles, the
 	// differential harness and cycle-level bisect are proved against.
-	// Sabotaged cells are never cached, pooled or prefix-shared; unlike
-	// the hook-based fault injector, sabotage is plain machine state, so
-	// snapshots capture it and BisectFailure can localize its damage.
+	// Sabotaged cells are never cached or pooled; unlike the hook-based
+	// fault injector, sabotage is plain machine state, so snapshots
+	// capture it and BisectFailure can localize its damage.
 	Sabotage Sabotage
 	// Jobs bounds how many seeds run concurrently (0 = GOMAXPROCS,
 	// 1 = serial). Each seed is a share-nothing cell, so the worker

@@ -304,9 +304,6 @@ func (s *System) InjectSigNoise(core, thread, n int, salt uint64) int {
 	}
 	if inserted > 0 {
 		s.epoch++
-		if s.Shadow != nil {
-			s.Shadow.DivergeAll("signature noise injected")
-		}
 	}
 	return inserted
 }

@@ -29,8 +29,7 @@ type retryMemo struct {
 // effects a memo cannot replay, so every retry must walk.
 func (s *System) retryMemoBypassed() bool {
 	return s.P.ModelContention || // router and bank queues advance on every message
-		s.grid.Perturbed() || // a net-delay perturbation draws the injector's RNG per message
-		s.Shadow != nil // prefix-sharing ghost filters observe every signature probe
+		s.grid.Perturbed() // a net-delay perturbation draws the injector's RNG per message
 }
 
 // memoFor returns t's memo when it answers a retry of va, or nil.

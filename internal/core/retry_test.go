@@ -237,7 +237,6 @@ func TestRetryMemoBypass(t *testing.T) {
 	}{
 		{"contention", func(p *Params) { p.ModelContention = true }, func(*System) {}},
 		{"perturbed-grid", func(*Params) {}, func(s *System) { s.grid.SetPerturb(func(l sim.Cycle) sim.Cycle { return l }) }},
-		{"shadow", func(*Params) {}, func(s *System) { s.Shadow = &ShadowSigs{} }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			p := smallParams()

@@ -299,11 +299,8 @@ func (co *Coordinator) Lease(worker string) (Grant, LeaseState, time.Duration) {
 // LeaseBatch hands up to max lowest-index eligible pending cells to
 // worker in one round trip, each under its own lease — heartbeats,
 // results and failures stay per-cell, so a worker that dies mid-batch
-// only re-issues the cells it had not yet delivered. Batching exists
-// for two reasons: it amortizes the poll loop over slow links, and it
-// co-locates adjacent cells on one worker, which is what lets a
-// prefix-sharing executor see a whole variant group (campaign cells are
-// submission-ordered, so consecutive indexes are group-mates).
+// only re-issues the cells it had not yet delivered. Batching
+// amortizes the poll loop over slow links.
 func (co *Coordinator) LeaseBatch(worker string, max int) ([]Grant, LeaseState, time.Duration) {
 	if max < 1 {
 		max = 1

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -799,34 +800,50 @@ func TestLeaseBatchGrantsAndWait(t *testing.T) {
 }
 
 // TestBatchWorkersJournalResumeByteIdentical is the batch-lease
-// regression gate: a campaign served in multi-cell grants to ExecBatch
+// regression gate: a campaign served in multi-cell grants to batch
 // workers, killed partway, and resumed from its journal must produce
 // the byte-identical report of a never-interrupted single-cell run —
-// and the batch path must actually have engaged.
+// and multi-cell grants must actually have been handed out.
 func TestBatchWorkersJournalResumeByteIdentical(t *testing.T) {
 	cells := testCells(60)
 	journal := filepath.Join(t.TempDir(), "batch.journal")
 	var maxBatch atomic.Int32
-	var delivered atomic.Int32
+	var executed atomic.Int32
+	// serve wraps the coordinator's handler to record the largest grant
+	// any /lease response carried.
+	serve := func(co *Coordinator) *httptest.Server {
+		h := co.Handler()
+		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/lease" {
+				h.ServeHTTP(w, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			var resp leaseResp
+			if json.Unmarshal(rec.Body.Bytes(), &resp) == nil {
+				if n := int32(len(resp.Grants)); n > maxBatch.Load() {
+					maxBatch.Store(n)
+				}
+			}
+			for k, v := range rec.Header() {
+				w.Header()[k] = v
+			}
+			w.WriteHeader(rec.Code)
+			w.Write(rec.Body.Bytes())
+		}))
+	}
 	newWorkers := func(ctx context.Context, base string, n int, interruptAfter int32, interrupt func()) {
 		for i := 0; i < n; i++ {
 			w := &Worker{
 				Base:  base,
 				ID:    fmt.Sprintf("bw%d", i),
 				Batch: 8,
-				Exec:  func(_ context.Context, c Cell) ([]byte, error) { return execPayload(c), nil },
-				ExecBatch: func(_ context.Context, batch []Cell) ([][]byte, error) {
-					if n := int32(len(batch)); n > maxBatch.Load() {
-						maxBatch.Store(n)
-					}
-					out := make([][]byte, len(batch))
-					for i, c := range batch {
-						out[i] = execPayload(c)
-					}
-					if interrupt != nil && delivered.Add(int32(len(batch))) >= interruptAfter {
+				Exec: func(_ context.Context, c Cell) ([]byte, error) {
+					if interrupt != nil && executed.Add(1) >= interruptAfter {
 						interrupt()
 					}
-					return out, nil
+					return execPayload(c), nil
 				},
 			}
 			go w.Run(ctx)
@@ -840,7 +857,7 @@ func TestBatchWorkersJournalResumeByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer co.Close()
-		srv := httptest.NewServer(co.Handler())
+		srv := serve(co)
 		defer srv.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
@@ -863,7 +880,7 @@ func TestBatchWorkersJournalResumeByteIdentical(t *testing.T) {
 	if p := co.Progress(); p.Resumed == 0 {
 		t.Fatalf("nothing resumed from the journal (progress %+v)", p)
 	}
-	srv := httptest.NewServer(co.Handler())
+	srv := serve(co)
 	defer srv.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -880,9 +897,9 @@ func TestBatchWorkersJournalResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestBatchSequentialFallback: a worker with Batch > 1 but no ExecBatch
-// still drains multi-cell grants correctly, one cell at a time, with
-// per-cell failure isolation.
+// TestBatchSequentialFallback: a worker with Batch > 1 drains
+// multi-cell grants correctly, one cell at a time, with per-cell failure
+// isolation.
 func TestBatchSequentialFallback(t *testing.T) {
 	cells := testCells(20)
 	poison := cells[7].Key

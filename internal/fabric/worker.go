@@ -30,15 +30,11 @@ type Worker struct {
 	Exec func(ctx context.Context, c Cell) ([]byte, error)
 	// Batch, when > 1, asks the coordinator for up to that many cells
 	// per lease round trip. Each cell still rides its own lease, so a
-	// death mid-batch only re-issues undelivered cells. Without
-	// ExecBatch the cells run sequentially through Exec (every lease is
-	// heartbeated for the whole batch, so slow cells do not expire
-	// their waiting batch-mates).
+	// death mid-batch only re-issues undelivered cells. The cells run
+	// sequentially through Exec (every lease is heartbeated for the
+	// whole batch, so slow cells do not expire their waiting
+	// batch-mates).
 	Batch int
-	// ExecBatch runs a whole granted batch at once and returns one
-	// payload per cell, aligned by index — the hook a prefix-sharing
-	// executor uses to simulate a variant group's common prefix once.
-	ExecBatch func(ctx context.Context, cells []Cell) ([][]byte, error)
 	// Client is the HTTP client; nil means a dedicated client with a
 	// sane timeout.
 	Client *http.Client
@@ -126,15 +122,17 @@ func (w *Worker) Run(ctx context.Context) error {
 				return ctx.Err()
 			}
 		case "cell":
-			if len(resp.Grants) > 1 {
-				w.runBatch(ctx, resp.Grants)
-				continue
+			grants := resp.Grants
+			if len(grants) == 0 {
+				// A coordinator that predates batch grants sends only
+				// the single-cell fields.
+				if resp.Cell == nil {
+					w.logf("fabric worker %s: malformed lease response (no cell)", w.ID)
+					continue
+				}
+				grants = []grantMsg{{LeaseID: resp.LeaseID, Cell: *resp.Cell, TTLMillis: resp.TTLMillis}}
 			}
-			if resp.Cell == nil {
-				w.logf("fabric worker %s: malformed lease response (no cell)", w.ID)
-				continue
-			}
-			w.runCell(ctx, resp.LeaseID, *resp.Cell, time.Duration(resp.TTLMillis)*time.Millisecond)
+			w.runBatch(ctx, grants)
 		default:
 			w.logf("fabric worker %s: unknown lease status %q", w.ID, resp.Status)
 			if !sleepCtx(ctx, 100*time.Millisecond) {
@@ -142,38 +140,6 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 		}
 	}
-}
-
-// runCell executes one leased cell: heartbeats in the background,
-// traps panics, and reports the outcome. If ctx is cancelled mid-cell
-// the result is abandoned — exactly the "worker killed mid-cell" case
-// the lease protocol exists for.
-func (w *Worker) runCell(ctx context.Context, leaseID string, c Cell, ttl time.Duration) {
-	hbCtx, stopHB := context.WithCancel(ctx)
-	defer stopHB()
-	if ttl > 0 {
-		go w.heartbeatLoop(hbCtx, leaseID, ttl)
-	}
-
-	var payload []byte
-	err := sweep.Trap(func() error {
-		var execErr error
-		payload, execErr = w.Exec(ctx, c)
-		return execErr
-	})
-	if ctx.Err() != nil {
-		// Killed mid-cell (or right after): abandon the result. The
-		// lease expires and the cell is re-run elsewhere.
-		return
-	}
-	if err != nil {
-		w.logf("fabric worker %s: cell %s failed: %v", w.ID, shortKey(c.Key), err)
-		// Best-effort: if the report is lost the lease just expires.
-		var fr resultResp
-		w.post(ctx, "/fail", failReq{LeaseID: leaseID, Key: c.Key, Error: err.Error()}, &fr)
-		return
-	}
-	w.deliver(ctx, leaseID, c.Key, payload)
 }
 
 // deliver posts one result, retrying transport errors: the coordinator
@@ -210,9 +176,13 @@ func (w *Worker) deliver(ctx context.Context, leaseID, key string, payload []byt
 	}
 }
 
-// runBatch executes one granted batch through ExecBatch under every
-// cell's lease, heartbeating all of them, and delivers (or fails) each
-// cell individually — the coordinator never learns batches exist.
+// runBatch executes the granted cells one by one through Exec, with
+// every cell's lease heartbeated for the whole batch so slow cells do
+// not expire their waiting batch-mates. Each cell is delivered or
+// failed on its own — the coordinator never learns batches exist.
+// Panics are trapped and reported as cell failures. If ctx is cancelled
+// mid-cell the result is abandoned — exactly the "worker killed
+// mid-cell" case the lease protocol exists for.
 func (w *Worker) runBatch(ctx context.Context, grants []grantMsg) {
 	hbCtx, stopHB := context.WithCancel(ctx)
 	defer stopHB()
@@ -221,58 +191,29 @@ func (w *Worker) runBatch(ctx context.Context, grants []grantMsg) {
 			go w.heartbeatLoop(hbCtx, g.LeaseID, ttl)
 		}
 	}
-	cells := make([]Cell, len(grants))
-	for i, g := range grants {
-		cells[i] = g.Cell
-	}
-	if w.ExecBatch == nil {
-		// Sequential fallback: per-cell execution and per-cell outcome,
-		// under the batch-wide heartbeat umbrella above.
-		for i, g := range grants {
-			if ctx.Err() != nil {
-				return
-			}
-			var payload []byte
-			err := sweep.Trap(func() error {
-				var execErr error
-				payload, execErr = w.Exec(ctx, cells[i])
-				return execErr
-			})
-			if ctx.Err() != nil {
-				return
-			}
-			if err != nil {
-				w.logf("fabric worker %s: cell %s failed: %v", w.ID, shortKey(cells[i].Key), err)
-				var fr resultResp
-				w.post(ctx, "/fail", failReq{LeaseID: g.LeaseID, Key: cells[i].Key, Error: err.Error()}, &fr)
-				continue
-			}
-			w.deliver(ctx, g.LeaseID, cells[i].Key, payload)
+	for _, g := range grants {
+		if ctx.Err() != nil {
+			return
 		}
-		return
-	}
-	var payloads [][]byte
-	err := sweep.Trap(func() error {
-		var execErr error
-		payloads, execErr = w.ExecBatch(ctx, cells)
-		return execErr
-	})
-	if err == nil && len(payloads) != len(cells) {
-		err = fmt.Errorf("batch executor returned %d payloads for %d cells", len(payloads), len(cells))
-	}
-	if ctx.Err() != nil {
-		return // killed mid-batch: abandon, the leases expire
-	}
-	if err != nil {
-		w.logf("fabric worker %s: batch of %d cells failed: %v", w.ID, len(cells), err)
-		for _, g := range grants {
+		var payload []byte
+		err := sweep.Trap(func() error {
+			var execErr error
+			payload, execErr = w.Exec(ctx, g.Cell)
+			return execErr
+		})
+		if ctx.Err() != nil {
+			// Killed mid-cell (or right after): abandon the result. The
+			// leases expire and the cells are re-run elsewhere.
+			return
+		}
+		if err != nil {
+			w.logf("fabric worker %s: cell %s failed: %v", w.ID, shortKey(g.Cell.Key), err)
+			// Best-effort: if the report is lost the lease just expires.
 			var fr resultResp
 			w.post(ctx, "/fail", failReq{LeaseID: g.LeaseID, Key: g.Cell.Key, Error: err.Error()}, &fr)
+			continue
 		}
-		return
-	}
-	for i, g := range grants {
-		w.deliver(ctx, g.LeaseID, g.Cell.Key, payloads[i])
+		w.deliver(ctx, g.LeaseID, g.Cell.Key, payload)
 	}
 }
 

@@ -108,47 +108,3 @@ func (s *Signature) MemberProbe(o Op, p *Probe) bool {
 func (s *Signature) PrepareProbe(a addr.PAddr) Probe {
 	return PrepareProbe(s.read, a)
 }
-
-// InsertBlocks inserts a batch of block addresses with a single dynamic
-// dispatch, running the concrete type's insert loop inline (undo-log
-// walks and summary rebuilds insert dozens of blocks back to back).
-func InsertBlocks(f Filter, as []addr.PAddr) {
-	switch s := f.(type) {
-	case *perfect:
-		for _, a := range as {
-			s.insertKey(uint64(a.Block()) + 1)
-		}
-	case *bitSelect:
-		for _, a := range as {
-			s.bitsVec.set(s.index(a))
-		}
-	case *doubleBitSelect:
-		for _, a := range as {
-			lo, hi := s.idx(a)
-			s.lo.set(lo)
-			s.hi.set(hi)
-		}
-	case *h3:
-		for _, a := range as {
-			for i := 0; i < s.k; i++ {
-				s.bitsVec.set(s.idx(a, i))
-			}
-		}
-	default:
-		for _, a := range as {
-			f.Insert(a)
-		}
-	}
-}
-
-// MayContainAll reports whether every prepared probe may be in f — the
-// batched membership form of TestProbe (false as soon as one probe
-// misses, like testing each address in turn).
-func MayContainAll(f Filter, ps []Probe) bool {
-	for i := range ps {
-		if !TestProbe(f, &ps[i]) {
-			return false
-		}
-	}
-	return true
-}

@@ -18,7 +18,7 @@ func mustFilter(c Config) Filter {
 }
 
 // wrapFilter hides the concrete type from the probe fast paths, forcing
-// TestProbe and InsertBlocks through their interface fallbacks.
+// TestProbe through its interface fallback.
 type wrapFilter struct{ Filter }
 
 func (w wrapFilter) Clone() Filter { return wrapFilter{w.Filter.Clone()} }
@@ -128,69 +128,6 @@ func TestConflictProbeMatchesConflict(t *testing.T) {
 	}
 }
 
-// TestInsertBlocksMatchesLoop checks the batched insert against the
-// one-at-a-time reference on every kind plus the fallback path.
-func TestInsertBlocksMatchesLoop(t *testing.T) {
-	for _, c := range probeConfigs() {
-		for _, wrapped := range []bool{false, true} {
-			name := c.String()
-			if wrapped {
-				name += "/fallback"
-			}
-			t.Run(name, func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(c.Bits) + 41))
-				batch := mustFilter(c)
-				ref := mustFilter(c)
-				if wrapped {
-					batch, ref = wrapFilter{batch}, wrapFilter{ref}
-				}
-				as := randAddrs(rng, 200)
-				InsertBlocks(batch, as)
-				for _, a := range as {
-					ref.Insert(a)
-				}
-				for _, a := range randAddrs(rng, 2000) {
-					if got, want := batch.MayContain(a), ref.MayContain(a); got != want {
-						t.Fatalf("after InsertBlocks, MayContain(%v) = %v, want %v", a, got, want)
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestMayContainAll checks the batched membership form: true exactly
-// when every probe individually hits.
-func TestMayContainAll(t *testing.T) {
-	for _, c := range probeConfigs() {
-		t.Run(c.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(c.Bits) + 57))
-			f := mustFilter(c)
-			as := randAddrs(rng, 64)
-			InsertBlocks(f, as)
-			members := make([]Probe, len(as))
-			for i, a := range as {
-				members[i] = PrepareProbe(f, a)
-			}
-			if !MayContainAll(f, members) {
-				t.Fatal("MayContainAll false for a batch of inserted members")
-			}
-			// Append probes until one misses; then the batch must be false.
-			for i := 0; i < 10000; i++ {
-				a := addr.PAddr((100000 + i*7) * addr.BlockBytes)
-				p := PrepareProbe(f, a)
-				if !TestProbe(f, &p) {
-					if MayContainAll(f, append(members, p)) {
-						t.Fatal("MayContainAll true despite a missing probe")
-					}
-					return
-				}
-			}
-			t.Skip("filter saturated; no miss found")
-		})
-	}
-}
-
 // TestProbeZeroAlloc guards the probe hot path: preparing and testing a
 // probe must not allocate for any concrete kind.
 func TestProbeZeroAlloc(t *testing.T) {
@@ -214,9 +151,9 @@ func TestProbeZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkInsert compares the scalar Insert loop against the batched
-// InsertBlocks per filter kind (the undo-log walk / summary-rebuild
-// pattern: dozens of blocks back to back into one filter).
+// BenchmarkInsert times the Insert loop per filter kind (the undo-log
+// walk / summary-rebuild pattern: dozens of blocks back to back into one
+// filter).
 func BenchmarkInsert(b *testing.B) {
 	as := make([]addr.PAddr, 64)
 	for i := range as {
@@ -230,12 +167,6 @@ func BenchmarkInsert(b *testing.B) {
 				for _, a := range as {
 					f.Insert(a)
 				}
-			}
-		})
-		b.Run(c.String()+"/batched", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				InsertBlocks(f, as)
 			}
 		})
 	}

@@ -47,17 +47,13 @@ go test -run xxx -bench 'BenchmarkFigure4' \
 # pooled/cold and cached/cold ratios from these cells.
 go test -run xxx -bench 'BenchmarkSweepCell' \
     -benchtime "$benchtime" -benchmem . >>"$tmp"
-# Snapshot engine: capture/restore cost on the Table-1 machine, and a
-# full Figure-4 row executed plain vs prefix-shared — benchdiff reports
-# the shared/plain ratio from the ForkedSweepRow pair.
+# Snapshot engine: capture/restore cost on the Table-1 machine.
 go test -run xxx -bench 'BenchmarkSnapshotRestore' \
-    -benchtime "$benchtime" -benchmem . >>"$tmp"
-go test -run xxx -bench 'BenchmarkForkedSweepRow' \
     -benchtime "$benchtime" -benchmem . >>"$tmp"
 go test -run xxx -bench 'BenchmarkSignatureOps' \
     -benchtime 10000x -benchmem . >>"$tmp"
-# Signature microbenchmarks: scalar vs batched (prepared-probe /
-# InsertBlocks) per filter kind, in internal/sig.
+# Signature microbenchmarks per filter kind, in internal/sig: the
+# Insert loop, and scalar MayContain vs the prepared-probe broadcast.
 go test -run xxx -bench 'BenchmarkInsert|BenchmarkMayContain' \
     -benchtime 10000x -benchmem ./internal/sig >>"$tmp"
 # NACK retry layer: one retry against a blocked block, walking the

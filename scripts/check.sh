@@ -37,6 +37,19 @@ if ! awk -v t="$total" -v b="$baseline" 'BEGIN { exit !(t + 0 >= b - 1.0) }'; th
     exit 1
 fi
 
+# Unreachable-code gate: the count of module functions that no cmd or
+# example binary links (scripts/unreachable.sh) must not rise above the
+# committed baseline (scripts/unreachable_baseline.txt). Lower the
+# baseline when code is deleted; never raise it to pass.
+unreachable=$(scripts/unreachable.sh)
+unreachable=$(echo "$unreachable" | awk '/^unreachable:/ { print $2 }')
+unreachable_baseline=$(cat scripts/unreachable_baseline.txt)
+echo "unreachable: ${unreachable} functions (baseline ${unreachable_baseline})"
+if [ "$unreachable" -gt "$unreachable_baseline" ]; then
+    echo "unreachable gate: ${unreachable} functions are linked into no binary, baseline ${unreachable_baseline} (list them with scripts/unreachable.sh)" >&2
+    exit 1
+fi
+
 # Fuzz smoke: each target gets a short randomized budget on top of its
 # checked-in seed corpus (go test -fuzz takes one target per invocation).
 fuzztime="${FUZZTIME:-10s}"
